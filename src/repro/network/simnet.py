@@ -527,15 +527,6 @@ class SimulatedNetwork:
         sent_at = self.clock.now
         request_delay = self._reserve_link(source, destination, len(payload), link)
         self.metrics.record(source, destination, len(payload), request_delay)
-        self._trace_interval(
-            trace,
-            "request-wire",
-            "wire",
-            sent_at,
-            sent_at + request_delay,
-            link=f"{source}->{destination}",
-            bytes=len(payload),
-        )
 
         def serve(handler: MessageHandler, respond_at: Optional[float]) -> None:
             served_at = self.clock.now
@@ -579,16 +570,24 @@ class SimulatedNetwork:
                     destination, source, len(response), reverse_link
                 )
                 self.metrics.record(destination, source, len(response), response_delay)
-                self._trace_interval(
-                    trace,
-                    "response-wire",
-                    "wire",
-                    responded_at,
-                    responded_at + response_delay,
-                    link=f"{destination}->{source}",
-                    bytes=len(response),
-                )
-                self.events.schedule(response_delay, lambda: on_response(response))
+
+                def arrive() -> None:
+                    # Wire spans end at the clock reading the arrival event
+                    # fires at, like the spans of the callbacks it runs:
+                    # ``responded_at + response_delay`` can differ from it
+                    # in the last bit.
+                    self._trace_interval(
+                        trace,
+                        "response-wire",
+                        "wire",
+                        responded_at,
+                        self.clock.now,
+                        link=f"{destination}->{source}",
+                        bytes=len(response),
+                    )
+                    on_response(response)
+
+                self.events.schedule(response_delay, arrive)
 
             if respond_at is not None and respond_at > self.clock.now:
                 # The worker holds the request until its service time has
@@ -600,6 +599,16 @@ class SimulatedNetwork:
                 send_response()
 
         def deliver() -> None:
+            # Ends at the delivery event's clock reading, as in ``arrive``.
+            self._trace_interval(
+                trace,
+                "request-wire",
+                "wire",
+                sent_at,
+                self.clock.now,
+                link=f"{source}->{destination}",
+                bytes=len(payload),
+            )
             handler = self._handlers.get(destination)
             if handler is None:
                 on_error(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ServicePolicy, Session
-from repro.errors import PolicyError, RemoteInvocationError
+from repro.errors import PolicyError, RemoteInvocationError, TransportError
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import RetryPolicy
 from repro.workloads.bulk_orders import OrderIntake
@@ -152,6 +152,38 @@ class TestDirectService:
             svc.submit("sku-1", 1, 10)
         with pytest.raises(PolicyError, match="closed"):
             svc.future.submit("sku-1", 1, 10)
+
+
+class _Echo:
+    def echo(self, value):
+        return value
+
+    def oversized(self):
+        return 2**70
+
+
+@pytest.mark.parametrize("transport", ["rmi", "corba"])
+class TestBinaryWireDomain:
+    """Ints outside int64 cannot ride the binary protocols: an argument or a
+    result that large fails with a TransportError naming the range."""
+
+    def test_oversized_int_argument(self, cluster, transport):
+        with Session(cluster, node="client") as session:
+            svc = session.service(
+                "echo", ServicePolicy(transport=transport), impl=_Echo(), node="server"
+            )
+            assert svc.echo(2**63 - 1) == 2**63 - 1
+            with pytest.raises(TransportError, match="int64"):
+                svc.echo(2**70)
+
+    def test_oversized_int_result(self, cluster, transport):
+        with Session(cluster, node="client") as session:
+            svc = session.service(
+                "echo", ServicePolicy(transport=transport), impl=_Echo(), node="server"
+            )
+            with pytest.raises(TransportError, match="int64"):
+                svc.oversized()
+            assert svc.echo(-(2**63)) == -(2**63)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,13 @@ shed, some failed terminally — the tracer's books must balance:
 
 from __future__ import annotations
 
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ServicePolicy, Session
+from repro.api import ServicePolicy, Session, middleware
 from repro.api.middleware import RateLimitInterceptor
 from repro.observability import critical_path
 from repro.runtime.cluster import Cluster
@@ -48,6 +51,36 @@ def _drop_first(failures, count: int) -> None:
 )
 @settings(max_examples=60, deadline=None)
 def test_span_accounting_survives_fault_injection(
+    n_calls, batch_window, pipeline_depth, sample_rate, drops, kill_primary, throttle
+):
+    _check_span_accounting(
+        n_calls, batch_window, pipeline_depth, sample_rate, drops, kill_primary, throttle
+    )
+
+
+@pytest.mark.parametrize("first_call_id", [9, 50, 1000])
+def test_async_wire_spans_end_inside_their_parents(monkeypatch, first_call_id):
+    """Regression: an asynchronous wire span once ended at ``sent_at + delay``
+    recomputed at send time, which can exceed by one ulp the clock reading
+    its arrival event fires at — where the parent client span ends.
+
+    Call ids come from a process-wide counter, and their digit count moves
+    message sizes and so the float sums; these starting ids made the example
+    fail, so each is pinned to replay it exactly.
+    """
+    monkeypatch.setattr(middleware, "_CALL_SEQ", itertools.count(first_call_id))
+    _check_span_accounting(
+        n_calls=8,
+        batch_window=4,
+        pipeline_depth=2,
+        sample_rate=0.5,
+        drops=1,
+        kill_primary=True,
+        throttle=False,
+    )
+
+
+def _check_span_accounting(
     n_calls, batch_window, pipeline_depth, sample_rate, drops, kill_primary, throttle
 ):
     cluster = Cluster(("client", "server", "spare"))

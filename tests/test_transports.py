@@ -6,7 +6,12 @@ import pytest
 
 from repro.errors import TransportError, UnknownTransportError
 from repro.transports.base import TransportRegistry, frame_message, unframe_message
-from repro.transports.codec import BinaryReader, BinaryWriter, decode_message, encode_message
+from repro.transports.codec import (
+    decode_message,
+    decode_message_list,
+    encode_message,
+    encode_message_list,
+)
 from repro.transports.corba import CorbaTransport
 from repro.transports.inproc import InProcTransport
 from repro.transports.rmi import RmiTransport
@@ -94,9 +99,7 @@ class TestRelativeCosts:
 class TestBinaryCodec:
     def test_scalar_round_trips(self):
         for value in (None, True, False, 0, -17, 2**40, 3.25, "text", ""):
-            writer = BinaryWriter()
-            writer.write_value(value)
-            assert BinaryReader(writer.getvalue()).read_value() == value
+            assert decode_message(encode_message({"v": value}))["v"] == value
 
     def test_nested_structures(self):
         value = {"list": [1, [2, {"x": None}]], "flag": True}
@@ -107,19 +110,75 @@ class TestBinaryCodec:
         assert decode_message(encode_message(value, alignment=8), alignment=8) == value
 
     def test_non_string_map_keys_rejected(self):
-        writer = BinaryWriter()
         with pytest.raises(TransportError):
-            writer.write_value({1: "x"})
+            encode_message({1: "x"})
 
     def test_unmarshallable_python_object_rejected(self):
-        writer = BinaryWriter()
         with pytest.raises(TransportError):
-            writer.write_value(object())
+            encode_message({"v": object()})
 
     def test_truncated_stream_detected(self):
         payload = encode_message({"k": "value"})
         with pytest.raises(TransportError):
             decode_message(payload[:-3])
+
+    @pytest.mark.parametrize("alignment", [1, 8])
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70, -(10**30)])
+    def test_ints_outside_int64_rejected(self, alignment, value):
+        with pytest.raises(TransportError, match="int64"):
+            encode_message({"v": [1, value]}, alignment=alignment)
+        with pytest.raises(TransportError, match="int64"):
+            encode_message_list([{"v": value}], alignment=alignment)
+
+    @pytest.mark.parametrize("alignment", [1, 8])
+    def test_int64_bounds_accepted(self, alignment):
+        message = {"v": [-(2**63), 2**63 - 1]}
+        assert decode_message(encode_message(message, alignment=alignment), alignment) == message
+
+    @pytest.mark.parametrize("alignment", [1, 8])
+    def test_invalid_utf8_rejected(self, alignment):
+        payload = bytearray(encode_message({"k": "ab"}, alignment=alignment))
+        payload[-1] = 0xFF  # not a UTF-8 byte anywhere
+        with pytest.raises(TransportError, match="UTF-8"):
+            decode_message(bytes(payload), alignment=alignment)
+        key = bytearray(encode_message({"ab": None}, alignment=alignment))
+        key[-2] = 0xC3  # a lead byte followed by a non-continuation byte
+        with pytest.raises(TransportError, match="UTF-8"):
+            decode_message(bytes(key), alignment=alignment)
+
+    @pytest.mark.parametrize("alignment", [1, 8])
+    @pytest.mark.parametrize("junk", [b"\x00", b"junk"], ids=["nul", "junk"])
+    def test_trailing_bytes_rejected(self, alignment, junk):
+        payload = encode_message({"a": 1}, alignment=alignment)
+        with pytest.raises(TransportError, match="trailing"):
+            decode_message(payload + junk, alignment=alignment)
+        batch = encode_message_list([{"a": 1}], alignment=alignment)
+        with pytest.raises(TransportError, match="trailing"):
+            decode_message_list(batch + junk, alignment=alignment)
+
+    @pytest.mark.parametrize("alignment", [1, 8])
+    def test_string_length_past_end_rejected(self, alignment):
+        payload = encode_message({"k": "value"}, alignment=alignment)
+        with pytest.raises(TransportError, match="truncated"):
+            decode_message(payload[:-1], alignment=alignment)
+        huge = payload.replace(b"\x00\x00\x00\x05value", b"\xff\xff\xff\xffvalue")
+        assert huge != payload
+        with pytest.raises(TransportError, match="truncated"):
+            decode_message(huge, alignment=alignment)
+
+    @pytest.mark.parametrize("alignment", [1, 8])
+    def test_unknown_tag_and_wrong_top_level_type_rejected(self, alignment):
+        with pytest.raises(TransportError, match="unknown wire tag 9"):
+            decode_message(b"\x09", alignment=alignment)
+        with pytest.raises(TransportError, match="dictionary"):
+            decode_message(encode_message_list([], alignment=alignment), alignment=alignment)
+        with pytest.raises(TransportError, match="list"):
+            decode_message_list(encode_message({}, alignment=alignment), alignment=alignment)
+
+    @pytest.mark.parametrize("alignment", [1, 8])
+    def test_unencodable_string_rejected(self, alignment):
+        with pytest.raises(TransportError, match="UTF-8"):
+            encode_message({"v": "lone \ud800 surrogate"}, alignment=alignment)
 
 
 class TestRegistryAndFraming:
