@@ -2,19 +2,25 @@
 
 The paper deploys transformed applications on a LAN; this reproduction has no
 testbed, so the substrate is a deterministic in-process network simulator.
-Nodes register a message handler; :meth:`SimulatedNetwork.send_request`
-models a synchronous request/response exchange with configurable per-link
-latency, bandwidth-proportional transmission time, jitter, message loss and
-partitions.  Simulated time is charged to a :class:`~repro.network.clock.SimClock`
-and traffic is accounted in :class:`~repro.network.metrics.NetworkMetrics`.
+Nodes register a message handler; a request/response exchange between two
+nodes pays configurable per-link latency, bandwidth-proportional
+transmission time and jitter, and can fail through message loss, crashed
+nodes and partitions.  Simulated time is charged to a
+:class:`~repro.network.clock.SimClock` and traffic is accounted in
+:class:`~repro.network.metrics.NetworkMetrics`.
 
-:meth:`SimulatedNetwork.post` is the asynchronous sibling: it schedules the
-delivery and the response as events on the network's
-:class:`~repro.network.clock.EventQueue` and returns immediately, reporting
-the outcome through completion callbacks.  Several posted messages can be in
-flight at once, and their link delays overlap in simulated time — the
-foundation of the pipelined invocation scheduler
-(:mod:`repro.runtime.pipelining`).
+The exchange is written once, as a generator that yields each wait (a wire
+leg's delay, or the time a pool worker frees up) and runs every check and
+records every span in between.  Two drivers run it:
+
+* :meth:`SimulatedNetwork.send_request` runs it inline, advancing the clock
+  through each wait, and returns the response or raises;
+* :meth:`SimulatedNetwork.post` schedules each step on the network's
+  :class:`~repro.network.clock.EventQueue` and returns immediately,
+  reporting the outcome through completion callbacks.  Several posted
+  messages can be in flight at once, and their link delays overlap in
+  simulated time — the foundation of the pipelined invocation scheduler
+  (:mod:`repro.runtime.pipelining`).
 
 Links have *capacity*: each directed link is a FIFO resource whose
 transmission phase serializes — a message starts transmitting only once the
@@ -34,11 +40,12 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro._errors import (
     AdmissionError,
     MessageDroppedError,
+    NetworkError,
     NodeUnreachableError,
     PartitionError,
 )
@@ -54,6 +61,11 @@ ResponseCallback = Callable[[bytes], None]
 
 #: Failure callback for an asynchronous exchange: receives the network error.
 ErrorCallback = Callable[[Exception], None]
+
+#: Wait kinds yielded by :meth:`SimulatedNetwork._exchange`: a delay relative
+#: to now (a wire leg) or an absolute simulated time (a service-pool wait).
+_AFTER = False
+_AT = True
 
 
 @dataclass(frozen=True)
@@ -285,37 +297,6 @@ class SimulatedNetwork:
         """The bounded service pool installed on ``node_id``, if any."""
         return self._pools.get(node_id)
 
-    def _reserve_link(
-        self, source: str, destination: str, size: int, link: LinkConfig
-    ) -> float:
-        """Claim the ``source -> destination`` wire for one message.
-
-        Returns the message's total one-way delay from *now*: time spent
-        waiting for earlier transmissions to clear the link (FIFO), plus its
-        own transmission time, plus propagation.  With :attr:`queueing`
-        disabled, or on zero-transmission links, the wait is always zero and
-        this reduces to :meth:`LinkConfig.one_way_delay`.
-        """
-        propagation = link.propagation_delay(self._rng)
-        transmission = link.transmission_time(size)
-        if not self.queueing or transmission <= 0.0:
-            return transmission + propagation
-        now = self.clock.now
-        key = (source, destination)
-        busy_until = self._link_busy_until.get(key, 0.0)
-        start = busy_until if busy_until > now else now
-        queue_delay = start - now
-        self._link_busy_until[key] = start + transmission
-        # Backlog depth = earlier messages whose transmission has not started
-        # yet; starts are monotone per link so expired entries pop in order.
-        backlog = self._link_backlog.setdefault(key, deque())
-        while backlog and backlog[0] <= now:
-            backlog.popleft()
-        self.metrics.record_queueing(source, destination, queue_delay, len(backlog))
-        if queue_delay > 0.0:
-            backlog.append(start)
-        return queue_delay + transmission + propagation
-
     # -- tracing ------------------------------------------------------------------
 
     def _trace_interval(
@@ -347,6 +328,33 @@ class SimulatedNetwork:
                 **attrs,
             )
 
+    def _trace_wire(
+        self,
+        trace: Optional[List[Tuple[str, str]]],
+        name: str,
+        source: str,
+        destination: str,
+        sent_at: float,
+        size: int,
+    ) -> None:
+        """Record a wire span for a message that has just arrived.
+
+        It ends at the clock reading the wait ended at, like the spans of
+        the callers it returns to: ``sent_at + delay`` can differ from it
+        in the last bit.
+        """
+        if self.tracer is None or not trace:
+            return
+        self._trace_interval(
+            trace,
+            name,
+            "wire",
+            sent_at,
+            self.clock.now,
+            link=f"{source}->{destination}",
+            bytes=size,
+        )
+
     def _trace_event(
         self, trace: Optional[List[Tuple[str, str]]], name: str, **attrs
     ) -> None:
@@ -370,96 +378,25 @@ class SimulatedNetwork:
     ) -> bytes:
         """Synchronously deliver ``payload`` and return the handler's response.
 
-        Simulated time advances by the request's one-way delay (including any
-        wait for the link to free up), the handler runs behind the node's
-        service pool if one is installed (its own nested sends advance time
-        further), and time advances again for the response's one-way delay.
-        Failures raise subclasses of :class:`~repro.api.errors.NetworkError`; a
-        saturated destination pool raises
-        :class:`~repro.api.errors.AdmissionError` synchronously.
+        Runs :meth:`_exchange` inline: simulated time advances by the
+        request's one-way delay (including any wait for the link to free
+        up), the handler runs behind the node's service pool if one is
+        installed (its own nested sends advance time further), and time
+        advances again for the response's one-way delay.  Failures raise
+        subclasses of :class:`~repro.api.errors.NetworkError`; a saturated
+        destination pool raises :class:`~repro.api.errors.AdmissionError`.
         """
-
-        if source == destination:
-            # Same address space: no network is involved.
-            handler = self._require_handler(destination)
-            return handler(source, payload)
-
-        self._check_reachability(source, destination)
-        if self.failures.should_drop(source, destination):
-            self.metrics.record_drop(source, destination)
-            self._trace_event(trace, "request-dropped", link=f"{source}->{destination}")
-            raise MessageDroppedError(
-                f"message from {source!r} to {destination!r} was dropped"
-            )
-
-        link = self.link_config(source, destination)
-        sent_at = self.clock.now
-        request_delay = self._reserve_link(source, destination, len(payload), link)
-        self.clock.advance(request_delay)
-        self.metrics.record(source, destination, len(payload), request_delay)
-        self._trace_interval(
-            trace,
-            "request-wire",
-            "wire",
-            sent_at,
-            self.clock.now,
-            link=f"{source}->{destination}",
-            bytes=len(payload),
-        )
-
-        handler = self._require_handler(destination)
-        pool = self._pools.get(destination)
-        if pool is None:
-            served_at = self.clock.now
-            response = handler(source, payload)
-            self._trace_interval(
-                trace, "service", "service", served_at, self.clock.now, node=destination
-            )
-        else:
-            arrived_at = self.clock.now
-            try:
-                start = pool.admit(arrived_at)
-            except AdmissionError:
-                self._trace_event(trace, "admission-rejected", node=destination)
-                raise
-            queued = start > arrived_at
-            self.clock.advance_to(start)
-            pool.begin_service(queued)
-            if queued:
-                self._trace_interval(
-                    trace, "pool-queue", "server_queue", arrived_at, start, node=destination
-                )
-            response = handler(source, payload)
-            finish = start + pool.service_time
-            if finish > self.clock.now:
-                self.clock.advance_to(finish)
-            self._trace_interval(
-                trace, "service", "service", start, self.clock.now, node=destination
-            )
-
-        if self.failures.should_drop(destination, source):
-            self.metrics.record_drop(destination, source)
-            self._trace_event(trace, "response-dropped", link=f"{destination}->{source}")
-            raise MessageDroppedError(
-                f"response from {destination!r} to {source!r} was dropped"
-            )
-        reverse_link = self.link_config(destination, source)
-        responded_at = self.clock.now
-        response_delay = self._reserve_link(
-            destination, source, len(response), reverse_link
-        )
-        self.clock.advance(response_delay)
-        self.metrics.record(destination, source, len(response), response_delay)
-        self._trace_interval(
-            trace,
-            "response-wire",
-            "wire",
-            responded_at,
-            self.clock.now,
-            link=f"{destination}->{source}",
-            bytes=len(response),
-        )
-        return response
+        exchange = self._exchange(source, destination, payload, trace)
+        clock = self.clock
+        try:
+            while True:
+                absolute, value = next(exchange)
+                if absolute:
+                    clock.advance_to(value)
+                else:
+                    clock.advance(value)
+        except StopIteration as done:
+            return done.value
 
     def post(
         self,
@@ -473,198 +410,171 @@ class SimulatedNetwork:
     ) -> None:
         """Asynchronously deliver ``payload``; the outcome arrives via callback.
 
-        Unlike :meth:`send_request`, this returns immediately: the request's
-        one-way delay, the destination handler's execution and the response's
-        one-way delay are scheduled on :attr:`events` and play out when the
-        queue is pumped.  Messages posted before the queue is drained are in
-        flight *concurrently* — their link delays overlap in simulated time,
-        so N posted round trips cost roughly ``max`` rather than ``sum`` of
-        their delays.
+        Runs :meth:`_exchange` from the event queue: the checks and the link
+        reservation up to the first wait happen now, and every later step
+        is scheduled on :attr:`events` and plays out when the queue is
+        pumped.  Messages posted before the queue is drained are in flight
+        *concurrently* — their link delays overlap in simulated time, so N
+        posted round trips cost roughly ``max`` rather than ``sum`` of their
+        delays.
 
-        Failure semantics mirror the synchronous path: unreachable or
-        partitioned destinations and dropped messages surface through
-        ``on_error`` as :class:`~repro.api.errors.NetworkError` subclasses (the
-        sender is modelled as detecting loss immediately — a negative-ack
-        model; retry backoff supplies any recovery delay).  Errors are
-        reported through the event queue too, so completion order stays
-        deterministic.
+        Failures are those of :meth:`send_request`, delivered to
+        ``on_error`` (the sender is modelled as detecting loss immediately —
+        a negative-ack model; retry backoff supplies any recovery delay).  A
+        failure detected at post time is reported through the event queue
+        too, so completion order stays deterministic.
         """
+        exchange = self._exchange(source, destination, payload, trace)
+        events = self.events
 
+        def resume() -> None:
+            try:
+                absolute, value = next(exchange)
+            except StopIteration as done:
+                on_response(done.value)
+            except Exception as error:  # noqa: BLE001 - routed to callback
+                on_error(error)
+            else:
+                if absolute:
+                    events.schedule_at(value, resume)
+                else:
+                    events.schedule(value, resume)
+
+        resume()
+
+    def _exchange(
+        self,
+        source: str,
+        destination: str,
+        payload: bytes,
+        trace: Optional[List[Tuple[str, str]]],
+    ) -> Generator[Tuple[bool, float], None, bytes]:
+        """One request/response exchange, written once for both drivers.
+
+        A generator that yields each wait — ``(_AFTER, delay)`` for a wire
+        leg, relative to now, or ``(_AT, time)`` for a pool wait, absolute —
+        runs every check and records every span in between, and returns the
+        response; failures raise.  Keeping the two kinds apart keeps each
+        driver's clock arithmetic exact: :meth:`send_request` calls
+        ``advance``/``advance_to``, :meth:`post` ``schedule``/``schedule_at``.
+        """
         if source == destination:
-            # Same address space: no network is involved, but completion
-            # still travels through the event queue so that local and remote
-            # completions interleave deterministically.
-            def complete_locally() -> None:
-                try:
-                    handler = self._require_handler(destination)
-                    response = handler(source, payload)
-                except Exception as error:  # noqa: BLE001 - routed to callback
-                    on_error(error)
-                    return
-                on_response(response)
-
-            self.events.schedule(0.0, complete_locally)
-            return
+            # Same address space: no network is involved.  The zero wait
+            # sends a posted local completion through the event queue, so
+            # local and remote completions interleave deterministically.
+            yield _AFTER, 0.0
+            return self._require_handler(destination)(source, payload)
 
         try:
             self._check_reachability(source, destination)
-        except Exception as error:  # noqa: BLE001 - routed to callback
-            # Bind to a fresh name: `error` itself is unbound when the
-            # except block exits, before the scheduled lambda runs.
-            failure = error
-            self.events.schedule(0.0, lambda: on_error(failure))
-            return
-        if self.failures.should_drop(source, destination):
-            self.metrics.record_drop(source, destination)
-            self._trace_event(trace, "request-dropped", link=f"{source}->{destination}")
-            dropped = MessageDroppedError(
-                f"message from {source!r} to {destination!r} was dropped"
-            )
-            self.events.schedule(0.0, lambda: on_error(dropped))
-            return
+            if self.failures.should_drop(source, destination):
+                self.metrics.record_drop(source, destination)
+                self._trace_event(trace, "request-dropped", link=f"{source}->{destination}")
+                raise MessageDroppedError(
+                    f"message from {source!r} to {destination!r} was dropped"
+                )
+        except NetworkError:
+            # Failing before the message leaves still takes a zero wait, so
+            # a posted exchange reports it through the event queue too.
+            yield _AFTER, 0.0
+            raise
+        size = len(payload)
+        sent_at, delay = self._send(source, destination, size)
+        yield _AFTER, delay
+        self._trace_wire(trace, "request-wire", source, destination, sent_at, size)
 
-        link = self.link_config(source, destination)
-        sent_at = self.clock.now
-        request_delay = self._reserve_link(source, destination, len(payload), link)
-        self.metrics.record(source, destination, len(payload), request_delay)
-
-        def serve(handler: MessageHandler, respond_at: Optional[float]) -> None:
-            served_at = self.clock.now
+        # Reachability was checked when the message left; the destination
+        # may have crashed while it was in flight.
+        handler = self._live_handler(destination, "before delivery")
+        # No pool: the response leaves as soon as the handler returns.
+        finish = 0.0
+        pool = self._pools.get(destination)
+        if pool is not None:
+            arrived_at = self.clock.now
             try:
-                response = handler(source, payload)
-            except Exception as error:  # noqa: BLE001 - routed to callback
+                start = pool.admit(arrived_at)
+            except AdmissionError:
+                self._trace_event(trace, "admission-rejected", node=destination)
+                raise
+            queued = start > arrived_at
+            if queued:
                 self._trace_interval(
-                    trace,
-                    "service",
-                    "service",
-                    served_at,
-                    self.clock.now,
-                    node=destination,
-                    error=type(error).__name__,
+                    trace, "pool-queue", "server_queue", arrived_at, start, node=destination
                 )
-                on_error(error)
-                return
-            if self.failures.should_drop(destination, source):
-                self.metrics.record_drop(destination, source)
-                self._trace_interval(
-                    trace, "service", "service", served_at, self.clock.now, node=destination
-                )
-                self._trace_event(trace, "response-dropped", link=f"{destination}->{source}")
-                on_error(
-                    MessageDroppedError(
-                        f"response from {destination!r} to {source!r} was dropped"
-                    )
-                )
-                return
+                yield _AT, start
+            pool.begin_service(queued)
+            # It may also die while the request waits for a worker.
+            handler = self._live_handler(destination, "while queued")
+            finish = start + pool.service_time
 
-            def send_response() -> None:
-                # The worker releases the request here: the service
-                # interval spans handler execution plus the remainder of
-                # the pool's service time.
-                self._trace_interval(
-                    trace, "service", "service", served_at, self.clock.now, node=destination
-                )
-                reverse_link = self.link_config(destination, source)
-                responded_at = self.clock.now
-                response_delay = self._reserve_link(
-                    destination, source, len(response), reverse_link
-                )
-                self.metrics.record(destination, source, len(response), response_delay)
-
-                def arrive() -> None:
-                    # Wire spans end at the clock reading the arrival event
-                    # fires at, like the spans of the callbacks it runs:
-                    # ``responded_at + response_delay`` can differ from it
-                    # in the last bit.
-                    self._trace_interval(
-                        trace,
-                        "response-wire",
-                        "wire",
-                        responded_at,
-                        self.clock.now,
-                        link=f"{destination}->{source}",
-                        bytes=len(response),
-                    )
-                    on_response(response)
-
-                self.events.schedule(response_delay, arrive)
-
-            if respond_at is not None and respond_at > self.clock.now:
-                # The worker holds the request until its service time has
-                # elapsed; only then does the response hit the wire.  The
-                # clock is NOT advanced here — other workers (and other
-                # links) keep operating concurrently in simulated time.
-                self.events.schedule_at(respond_at, send_response)
-            else:
-                send_response()
-
-        def deliver() -> None:
-            # Ends at the delivery event's clock reading, as in ``arrive``.
+        served_at = self.clock.now
+        try:
+            response = handler(source, payload)
+        except Exception as error:
             self._trace_interval(
                 trace,
-                "request-wire",
-                "wire",
-                sent_at,
+                "service",
+                "service",
+                served_at,
                 self.clock.now,
-                link=f"{source}->{destination}",
-                bytes=len(payload),
+                node=destination,
+                error=type(error).__name__,
             )
-            handler = self._handlers.get(destination)
-            if handler is None:
-                on_error(
-                    NodeUnreachableError(
-                        f"node {destination!r} is not registered on the network"
-                    )
-                )
-                return
-            if self.failures.is_node_down(destination):
-                # The destination crashed while this message was in flight:
-                # it must not execute on a dead node (reachability was only
-                # checked at post time).
-                on_error(
-                    NodeUnreachableError(
-                        f"node {destination!r} went down before delivery"
-                    )
-                )
-                return
-            pool = self._pools.get(destination)
-            if pool is None:
-                serve(handler, None)
-                return
-            now = self.clock.now
-            try:
-                start = pool.admit(now)
-            except AdmissionError as error:
-                self._trace_event(trace, "admission-rejected", node=destination)
-                on_error(error)
-                return
-            queued = start > now
-            if queued:
-                self._trace_interval(
-                    trace, "pool-queue", "server_queue", now, start, node=destination
-                )
+            raise
+        dropped = self.failures.should_drop(destination, source)
+        if not dropped and finish > self.clock.now:
+            # The worker holds the request until its service time has
+            # elapsed; only then does the response hit the wire.  A posted
+            # exchange does not advance the clock here — other workers and
+            # links keep operating concurrently in simulated time.
+            yield _AT, finish
+        self._trace_interval(
+            trace, "service", "service", served_at, self.clock.now, node=destination
+        )
+        if dropped:
+            self.metrics.record_drop(destination, source)
+            self._trace_event(trace, "response-dropped", link=f"{destination}->{source}")
+            raise MessageDroppedError(
+                f"response from {destination!r} to {source!r} was dropped"
+            )
+        size = len(response)
+        sent_at, delay = self._send(destination, source, size)
+        yield _AFTER, delay
+        self._trace_wire(trace, "response-wire", destination, source, sent_at, size)
+        return response
 
-            def begin() -> None:
-                pool.begin_service(queued)
-                # The destination can die while the request sits in the
-                # admission queue (not just in flight): it must fail here
-                # rather than execute on a dead node.
-                current = self._handlers.get(destination)
-                if current is None or self.failures.is_node_down(destination):
-                    on_error(
-                        NodeUnreachableError(
-                            f"node {destination!r} went down while queued"
-                        )
-                    )
-                    return
-                serve(current, start + pool.service_time)
+    def _send(self, source: str, destination: str, size: int) -> Tuple[float, float]:
+        """Claim the ``source -> destination`` wire for one message and account it.
 
-            if queued:
-                self.events.schedule_at(start, begin)
-            else:
-                begin()
-
-        self.events.schedule(request_delay, deliver)
+        Returns when the message was sent (now) and its one-way delay from
+        then: time spent waiting for earlier transmissions to clear the link
+        (FIFO), plus its own transmission time, plus propagation.  With
+        :attr:`queueing` disabled, or on zero-transmission links, the first
+        part is always zero and this reduces to :meth:`LinkConfig.one_way_delay`.
+        """
+        link = self.link_config(source, destination)
+        propagation = link.propagation_delay(self._rng)
+        transmission = link.transmission_time(size)
+        now = self.clock.now
+        queue_delay = 0.0
+        if self.queueing and transmission > 0.0:
+            key = (source, destination)
+            busy_until = self._link_busy_until.get(key, 0.0)
+            start = busy_until if busy_until > now else now
+            queue_delay = start - now
+            self._link_busy_until[key] = start + transmission
+            # Backlog depth = earlier messages whose transmission has not
+            # started yet; starts are monotone per link so expired entries
+            # pop in order.
+            backlog = self._link_backlog.setdefault(key, deque())
+            while backlog and backlog[0] <= now:
+                backlog.popleft()
+            self.metrics.record_queueing(source, destination, queue_delay, len(backlog))
+            if queue_delay > 0.0:
+                backlog.append(start)
+        delay = queue_delay + transmission + propagation
+        self.metrics.record(source, destination, size, delay)
+        return now, delay
 
     # -- helpers -----------------------------------------------------------------------
 
@@ -674,11 +584,15 @@ class SimulatedNetwork:
             raise NodeUnreachableError(f"node {node_id!r} is not registered on the network")
         return handler
 
+    def _live_handler(self, node_id: str, moment: str) -> MessageHandler:
+        """The handler of a registered node that is up; raises otherwise."""
+        handler = self._require_handler(node_id)
+        if self.failures.is_node_down(node_id):
+            raise NodeUnreachableError(f"node {node_id!r} went down {moment}")
+        return handler
+
     def _check_reachability(self, source: str, destination: str) -> None:
-        if destination not in self._handlers:
-            raise NodeUnreachableError(
-                f"node {destination!r} is not registered on the network"
-            )
+        self._require_handler(destination)
         if self.failures.is_node_down(source) or self.failures.is_node_down(destination):
             raise NodeUnreachableError(
                 f"node {source!r} or {destination!r} is down"

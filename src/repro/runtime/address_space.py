@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro._errors import (
     InvocationError,
     NetworkError,
+    SerializationError,
     TransportError,
     UnknownObjectError,
     remote_error,
@@ -62,6 +63,45 @@ from repro.transports.base import (
 #: optionally extended with a fifth element — the call's wire-context dict
 #: (call id, tenant, deadline; see :class:`~repro.api.middleware.CallContext`).
 BatchCall = Tuple[RemoteRef, str, tuple, dict]
+
+
+class _OutgoingBatch:
+    """One batch made ready to ship by :meth:`AddressSpace._prepare_batch`."""
+
+    __slots__ = ("calls", "destination", "payload", "shipped", "rejected", "trace")
+
+    def __init__(
+        self,
+        calls: List[Tuple[RemoteRef, str, tuple, dict, dict]],
+        destination: Optional[str],
+    ) -> None:
+        #: Every call, normalised, in request order.
+        self.calls = calls
+        #: The one node every call targets (``None`` for an empty batch).
+        self.destination = destination
+        #: The framed message, or ``None`` when nothing goes on the wire.
+        self.payload: Optional[bytes] = None
+        #: The calls the payload carries, in request order.
+        self.shipped = calls
+        #: Index -> error result of each call that could not be encoded.
+        self.rejected: Dict[int, BatchResult] = {}
+        #: Trace references of the shipped calls, for the network's spans.
+        self.trace: Optional[List[Tuple[str, Optional[str]]]] = None
+
+    def results(self, shipped: List[BatchResult]) -> List[BatchResult]:
+        """Every call's result in request order: ``shipped`` holds the
+        shipped calls' results, the rejected calls keep their errors."""
+        if not self.rejected:
+            return shipped
+        received = iter(shipped)
+        merged: List[BatchResult] = []
+        for index in range(len(self.calls)):
+            result = self.rejected.get(index)
+            if result is None:
+                result = next(received)
+                result = BatchResult(index=index, value=result.value, error=result.error)
+            merged.append(result)
+        return merged
 
 
 class AddressSpace:
@@ -612,40 +652,24 @@ class AddressSpace:
         the network round trip are paid once, and the responses come back in
         request order.  Application errors raised by individual calls are
         isolated into their :class:`~repro.runtime.batching.BatchResult`
-        slots; a transport- or network-level failure raises and fails the
-        whole batch atomically.
+        slots, and so is a call whose arguments cannot be encoded (the rest
+        of the batch still ships); a transport- or network-level failure of
+        the message raises and fails the whole batch atomically.
 
         When the batch targets this very space it short-circuits to direct
         local invocations (with the same per-call error isolation), mirroring
         :meth:`invoke_remote`.
         """
 
-        normalized = self._normalize_calls(calls)
-        if not normalized:
-            return []
-
-        destinations = {reference.node_id for reference, _, _, _, _ in normalized}
-        if len(destinations) > 1:
-            raise InvocationError(
-                f"a batch must target one address space, got {sorted(destinations)}"
-            )
-        destination = destinations.pop()
-
-        if destination == self.node_id:
-            return self._invoke_batch_locally(normalized)
-
-        payload = self._encode_batch_payload(normalized, transport)
-        self.invocations_sent += len(normalized)
-        self.batches_sent += 1
-        trace = None
-        if self.network.tracer is not None:
-            trace = (
-                trace_refs_from_contexts(context for *_, context in normalized) or None
-            )
+        batch = self._prepare_batch(calls, transport)
+        if batch.destination == self.node_id:
+            return self._invoke_batch_locally(batch.calls)
+        if batch.payload is None:
+            return batch.results([])
         raw_response = self.network.send_request(
-            self.node_id, destination, payload, trace=trace
+            self.node_id, batch.destination, batch.payload, trace=batch.trace
         )
-        return self._decode_batch_payload(raw_response, len(normalized))
+        return batch.results(self._decode_batch_payload(raw_response, len(batch.shipped)))
 
     def invoke_remote_many_async(
         self,
@@ -672,44 +696,77 @@ class AddressSpace:
         calling this directly.
         """
 
-        normalized = self._normalize_calls(calls)
-        if not normalized:
-            self.network.events.schedule(0.0, lambda: on_results([]))
+        batch = self._prepare_batch(calls, transport)
+        schedule = self.network.events.schedule
+        if batch.destination == self.node_id:
+            schedule(0.0, lambda: on_results(self._invoke_batch_locally(batch.calls)))
             return
-
-        destinations = {reference.node_id for reference, _, _, _, _ in normalized}
-        if len(destinations) > 1:
-            raise InvocationError(
-                f"a batch must target one address space, got {sorted(destinations)}"
-            )
-        destination = destinations.pop()
-
-        if destination == self.node_id:
-            self.network.events.schedule(
-                0.0, lambda: on_results(self._invoke_batch_locally(normalized))
-            )
+        if batch.payload is None:
+            schedule(0.0, lambda: on_results(batch.results([])))
             return
-
-        payload = self._encode_batch_payload(normalized, transport)
-        self.invocations_sent += len(normalized)
-        self.batches_sent += 1
 
         def complete(raw_response: bytes) -> None:
             try:
-                results = self._decode_batch_payload(raw_response, len(normalized))
+                results = batch.results(
+                    self._decode_batch_payload(raw_response, len(batch.shipped))
+                )
             except Exception as error:  # noqa: BLE001 - routed to callback
                 on_error(error)
                 return
             on_results(results)
 
-        trace = None
-        if self.network.tracer is not None:
-            trace = (
-                trace_refs_from_contexts(context for *_, context in normalized) or None
-            )
         self.network.post(
-            self.node_id, destination, payload, complete, on_error, trace=trace
+            self.node_id, batch.destination, batch.payload, complete, on_error, trace=batch.trace
         )
+
+    def _prepare_batch(
+        self, calls: Sequence[BatchCall], transport: Optional[str]
+    ) -> "_OutgoingBatch":
+        """Everything the synchronous and asynchronous batch paths share.
+
+        Normalises the calls, checks they share one destination and — unless
+        the batch is empty or local — encodes the payload, counts it and
+        collects its trace references.  A call whose arguments cannot be
+        encoded (an int outside int64 on a binary transport, say) does not
+        sink the batch: when the whole batch fails to encode, each call is
+        encoded alone, the ones that fail get their error as their result,
+        and the rest ship.
+        """
+        normalized = self._normalize_calls(calls)
+        destinations = {reference.node_id for reference, *_ in normalized}
+        if len(destinations) > 1:
+            raise InvocationError(
+                f"a batch must target one address space, got {sorted(destinations)}"
+            )
+        batch = _OutgoingBatch(normalized, destinations.pop() if destinations else None)
+        if not normalized or batch.destination == self.node_id:
+            return batch
+
+        try:
+            batch.payload = self._encode_batch_payload(normalized, transport)
+        except (SerializationError, TransportError):
+            transport_impl = self.transports.get(transport or self.default_transport)
+            for index, call in enumerate(normalized):
+                try:
+                    self._encode_batch_body((call,), transport_impl)
+                except (SerializationError, TransportError) as error:
+                    batch.rejected[index] = BatchResult(index=index, error=error)
+            if not batch.rejected:
+                raise
+            batch.shipped = [
+                call for index, call in enumerate(normalized) if index not in batch.rejected
+            ]
+            if not batch.shipped:
+                return batch
+            batch.payload = self._encode_batch_payload(batch.shipped, transport)
+
+        self.invocations_sent += len(batch.shipped)
+        self.batches_sent += 1
+        if self.network.tracer is not None:
+            batch.trace = (
+                trace_refs_from_contexts(context for *_, context in batch.shipped) or None
+            )
+        return batch
 
     @staticmethod
     def _normalize_calls(
@@ -730,16 +787,20 @@ class AddressSpace:
         normalized: Sequence[tuple[RemoteRef, str, tuple, dict, dict]],
         transport: Optional[str],
     ) -> bytes:
-        """Marshal and frame N calls as one batch message, charging encode cost.
-
-        Accepts 4-tuples too (context defaulting empty) so callers holding
-        pre-middleware call shapes keep working without normalizing first.
-        """
+        """Marshal and frame N normalised calls as one batch message, charging encode cost."""
         transport_impl = self.transports.get(transport or self.default_transport)
+        body = self._encode_batch_body(normalized, transport_impl)
+        self.network.clock.advance(transport_impl.batch_processing_overhead(len(normalized)))
+        return frame_batch_message(transport_impl.name, body)
+
+    def _encode_batch_body(
+        self,
+        normalized: Sequence[tuple[RemoteRef, str, tuple, dict, dict]],
+        transport_impl: Any,
+    ) -> bytes:
+        """Marshal N normalised calls and encode them as one batch request body."""
         batch = InvocationBatch()
-        for reference, member, args, kwargs, context in self._normalize_calls(
-            normalized
-        ):
+        for reference, member, args, kwargs, context in normalized:
             wire_args, wire_kwargs = self.marshaller.marshal_arguments(args, kwargs)
             batch.requests.append(
                 InvocationRequest(
@@ -751,9 +812,7 @@ class AddressSpace:
                     context=context,
                 )
             )
-        body = transport_impl.encode_batch_request(batch.to_dicts())
-        self.network.clock.advance(transport_impl.batch_processing_overhead(len(batch)))
-        return frame_batch_message(transport_impl.name, body)
+        return transport_impl.encode_batch_request(batch.to_dicts())
 
     def _decode_batch_payload(
         self, raw_response: bytes, expected: int

@@ -521,10 +521,11 @@ class PipelineScheduler:
                 transport=self.transport,
             )
         except Exception as error:  # noqa: BLE001 - release the slot, fail the futures
-            # A synchronous dispatch failure (unknown transport, marshalling
-            # error) must not leak the window slot or strand the futures:
-            # route it through the normal failure path, then surface it to
-            # the caller — it is a programming error, not network weather.
+            # A synchronous dispatch failure (unknown transport, mixed
+            # destinations; an unencodable call fails only its own slot)
+            # must not leak the window slot or strand the futures: route it
+            # through the normal failure path, then surface it to the caller
+            # — it is a programming error, not network weather.
             self._on_error(calls, error)
             raise
 

@@ -186,6 +186,40 @@ class TestBinaryWireDomain:
             assert svc.echo(-(2**63)) == -(2**63)
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("transport", ["rmi", "corba"])
+class TestBatchedWireDomain:
+    """An argument the codec rejects fails only its own call: the rest of
+    its batch window still ships as one message, and no enqueue raises."""
+
+    def _service(self, session, transport, depth, window):
+        policy = ServicePolicy(transport=transport, batch_window=window, pipeline_depth=depth)
+        return session.service("echo", policy, impl=_Echo(), node="server")
+
+    def test_unencodable_argument_fails_only_its_call(self, cluster, transport, depth):
+        with Session(cluster, node="client") as session:
+            svc = self._service(session, transport, depth, window=4)
+            before = cluster.metrics.total_messages
+            futures = [svc.future.echo(value) for value in (1, 2**70, 3, 4)]
+            svc.drain()
+            error = futures[1].exception()
+            assert isinstance(error, TransportError)
+            assert "int64" in str(error)
+            assert [futures[i].result() for i in (0, 2, 3)] == [1, 3, 4]
+            # The three encodable calls travelled together: one round trip.
+            assert cluster.metrics.total_messages - before == 2
+            assert svc.echo(5) == 5
+
+    def test_window_of_only_unencodable_calls_sends_nothing(self, cluster, transport, depth):
+        with Session(cluster, node="client") as session:
+            svc = self._service(session, transport, depth, window=2)
+            before = cluster.metrics.total_messages
+            futures = [svc.future.echo(2**70), svc.future.echo(-(2**70))]
+            svc.drain()
+            assert all(isinstance(f.exception(), TransportError) for f in futures)
+            assert cluster.metrics.total_messages == before
+
+
 # ---------------------------------------------------------------------------
 # batched services
 # ---------------------------------------------------------------------------

@@ -193,6 +193,75 @@ class TestBenchPipeliningCommand:
         assert "--window" in output
 
 
+def _row(output: str, *prefix: str) -> list[str]:
+    """The columns of the one output line whose leading columns are ``prefix``."""
+    rows = [
+        line.split()
+        for line in output.splitlines()
+        if line.split()[: len(prefix)] == list(prefix)
+    ]
+    assert len(rows) == 1, output
+    return rows[0]
+
+
+class TestBenchBatchingCommand:
+    def test_reports_speedup_per_transport(self):
+        code, output = run_cli(
+            "bench-batching", "--transports", "rmi", "--orders", "64", "--batch-size", "16",
+        )
+        assert code == 0
+        speedup = _row(output, "rmi")[-1]
+        assert speedup.endswith("x")
+        assert float(speedup[:-1]) > 1.0
+
+    def test_rejects_degenerate_batch_size(self):
+        code, output = run_cli("bench-batching", "--batch-size", "1")
+        assert code == 1
+        assert "--batch-size" in output
+
+
+class TestBenchCachingCommand:
+    def test_reports_hit_rate_and_zero_stale_reads(self):
+        code, output = run_cli("bench-caching", "--transports", "rmi", "--rounds", "4")
+        assert code == 0
+        columns = _row(output, "rmi")
+        assert columns[-2].endswith("%")  # the hit rate
+        assert columns[-1] == "0"  # stale reads
+
+    def test_rejects_unknown_mode(self):
+        code, output = run_cli("bench-caching", "--mode", "psychic")
+        assert code == 1
+        assert "--mode" in output
+
+
+class TestBenchLoadCommand:
+    def test_sweep_reports_each_point_and_the_knee(self):
+        code, output = run_cli("bench-load", "--duration", "0.5")
+        assert code == 0
+        points = [line for line in output.splitlines() if line.split()[0].endswith("/s")]
+        assert len(points) == 4  # one row per default offered-load multiple
+        assert "saturation knee at" in output
+
+    def test_rejects_non_numeric_loads(self):
+        code, output = run_cli("bench-load", "--loads", "0.5,lots")
+        assert code == 1
+        assert "--loads" in output
+
+
+class TestBenchMiddlewareCommand:
+    def test_rate_limit_protects_the_polite_tenant(self):
+        code, output = run_cli("bench-middleware", "--duration", "0.5")
+        assert code == 0
+        unlimited = _row(output, "unlimited", "polite")[-1]
+        limited = _row(output, "limited", "polite")[-1]
+        assert float(limited.rstrip("%")) > float(unlimited.rstrip("%"))
+
+    def test_rejects_unknown_transport(self):
+        code, output = run_cli("bench-middleware", "--transport", "carrier-pigeon")
+        assert code == 1
+        assert "unknown transport" in output
+
+
 class TestBenchReplicationCommand:
     def test_kill_run_reports_zero_losses(self):
         code, output = run_cli(

@@ -7,7 +7,14 @@ import pytest
 from repro.errors import MessageDroppedError, NodeUnreachableError, PartitionError
 from repro.network.failures import FailureModel, NoFailures
 from repro.network.metrics import NetworkMetrics
-from repro.network.simnet import LAN_LINK, WAN_LINK, LinkConfig, SimulatedNetwork
+from repro.network.simnet import (
+    LAN_LINK,
+    WAN_LINK,
+    LinkConfig,
+    ServicePool,
+    SimulatedNetwork,
+)
+from repro.observability import Tracer
 
 
 def _echo_network(**kwargs) -> SimulatedNetwork:
@@ -168,3 +175,105 @@ class TestNetworkMetrics:
         metrics = NetworkMetrics()
         assert metrics.link("x", "y").mean_latency == 0.0
         assert metrics.link("x", "y").mean_message_size == 0.0
+
+
+class _DropDirection(FailureModel):
+    """Drops every message on one directed link and nothing else."""
+
+    def __init__(self, source: str, destination: str) -> None:
+        super().__init__()
+        self.link = (source, destination)
+
+    def should_drop(self, source: str, destination: str) -> bool:
+        return (source, destination) == self.link
+
+
+#: scenario -> (install a service pool, the handler raises, dropped link)
+EXCHANGES = {
+    "clean": (False, False, None),
+    "pool": (True, False, None),
+    "handler-error": (False, True, None),
+    "pool-handler-error": (True, True, None),
+    "request-drop": (False, False, ("a", "b")),
+    "response-drop": (False, False, ("b", "a")),
+    "pool-response-drop": (True, False, ("b", "a")),
+}
+
+
+def _run_exchange(driver: str, scenario: str):
+    """One traced exchange a -> b, driven inline or through the event queue."""
+    pool, handler_error, dropped = EXCHANGES[scenario]
+    network = SimulatedNetwork(failures=_DropDirection(*dropped) if dropped else None)
+    network.tracer = Tracer(network.clock)
+    root = network.tracer.start_trace("call", ts=0.0)
+
+    def handler(source, payload):
+        network.clock.advance(0.001)
+        if handler_error:
+            raise ValueError("handler failed")
+        return b"b:" + payload
+
+    network.register("a", lambda source, payload: payload)
+    network.register("b", handler)
+    if pool:
+        network.set_service_pool("b", ServicePool(workers=1, queue_limit=4, service_time=0.004))
+    trace = [(root.trace_id, root.span_id)]
+    payload = b"x" * 500
+    if driver == "send_request":
+        try:
+            outcome = network.send_request("a", "b", payload, trace=trace)
+        except Exception as error:  # noqa: BLE001 - compared below
+            outcome = type(error).__name__
+    else:
+        outcomes = []
+        network.post(
+            "a",
+            "b",
+            payload,
+            outcomes.append,
+            lambda error: outcomes.append(type(error).__name__),
+            trace=trace,
+        )
+        network.events.run_until_idle()
+        (outcome,) = outcomes
+    spans = [
+        (span.name, span.start, span.end, span.attrs.get("error"))
+        for span in network.tracer.collector.spans(root.trace_id)[1:]
+    ]
+    events = [event[0] for event in root.events]
+    metrics = network.metrics
+    return outcome, network.clock.now, spans, events, metrics.total_messages, metrics.total_drops
+
+
+class TestOneExchange:
+    """``send_request`` and ``post`` drive the same exchange: every check,
+    span and wait is the same whether the clock advances inline or the
+    steps are scheduled on the event queue."""
+
+    @pytest.mark.parametrize("scenario", list(EXCHANGES))
+    def test_inline_and_queued_drivers_agree(self, scenario):
+        sync = _run_exchange("send_request", scenario)
+        posted = _run_exchange("post", scenario)
+        outcome, now, spans, events, messages, drops = sync
+        assert posted[0] == outcome
+        assert posted[1] == pytest.approx(now, rel=1e-12)
+        assert [span[0::3] for span in posted[2]] == [span[0::3] for span in spans]
+        for queued_span, inline_span in zip(posted[2], spans):
+            assert queued_span[1:3] == pytest.approx(inline_span[1:3], rel=1e-12)
+        assert posted[3:] == (events, messages, drops)
+
+    def test_failing_handler_records_an_error_tagged_service_span(self):
+        outcome, _, spans, _, _, _ = _run_exchange("send_request", "handler-error")
+        assert outcome == "ValueError"
+        assert [(name, error) for name, _, _, error in spans] == [
+            ("request-wire", None),
+            ("service", "ValueError"),
+        ]
+
+    def test_a_dropped_response_is_reported_when_the_handler_returns(self):
+        # The worker's remaining service time is not waited out first.
+        _, now, spans, events, _, drops = _run_exchange("send_request", "pool-response-drop")
+        (service,) = [span for span in spans if span[0] == "service"]
+        assert now == service[2] == pytest.approx(service[1] + 0.001)
+        assert events == ["response-dropped"]
+        assert drops == 1

@@ -112,9 +112,9 @@ class TestAsyncPost:
 
         responses = []
         started = cluster.clock.now
-        payload = client._encode_batch_payload([(ref0, "echo", (3,), {})], None)
+        payload = client._encode_batch_payload([(ref0, "echo", (3,), {}, {})], None)
         cluster.network.post("client", "shard-0", payload, responses.append, responses.append)
-        payload = client._encode_batch_payload([(ref0, "echo", (4,), {})], None)
+        payload = client._encode_batch_payload([(ref0, "echo", (4,), {}, {})], None)
         cluster.network.post("client", "shard-0", payload, responses.append, responses.append)
         cluster.network.events.run_until_idle()
         overlapped = cluster.clock.now - started
